@@ -9,6 +9,12 @@
 //! a deterministic order, so a run produces a byte-identical
 //! [`CfsReport`] at any worker count.
 //!
+//! The search itself is one loop, [`Cfs::converge_from`]: constrain,
+//! combine aliases, follow up, until nothing changes. Each pass applies
+//! only the observations appended since the previous one, and the alias
+//! step re-combines only the alias sets those touched. Batch runs,
+//! replays and the session's incremental deltas all run through it.
+//!
 //! All iterated engine state (`states`, the facility caches, the
 //! exposure index…) is deliberately `BTreeMap`/`BTreeSet`, never the
 //! hashed std containers, so iteration order — and therefore report
@@ -187,6 +193,11 @@ pub struct Cfs<'a> {
 
     pub(crate) traces: Vec<Trace>,
     pub(crate) processed: usize,
+    /// Constraint cursor: how many entries of `observations` the loop
+    /// has applied in the current observation epoch. `None` until the
+    /// epoch's first pass, which applies every observation, the
+    /// looking-glass ones included.
+    pub(crate) constrained: Option<usize>,
     pub(crate) hop_ips: BTreeSet<Ipv4Addr>,
     pub(crate) aliases: AliasResolution,
     pub(crate) corrected: BTreeMap<Ipv4Addr, Asn>,
@@ -390,6 +401,7 @@ impl<'a> Cfs<'a> {
             platforms,
             traces: Vec::new(),
             processed: 0,
+            constrained: None,
             hop_ips: BTreeSet::new(),
             aliases: AliasResolution::default(),
             corrected: BTreeMap::new(),
@@ -457,26 +469,53 @@ impl<'a> Cfs<'a> {
                     self.new_ips_since_alias += 1;
                 }
             }
-            // Classification mirrors Step 1: confirmed IXP space ⇒ public.
-            let class = match self.kb().ixp_of_ip(s.neighbor_ip) {
-                Some(ixp) => LinkClass::Public { ixp },
-                None => LinkClass::Private,
-            };
-            let obs = Observation {
-                near_asn: owner,
-                near_ip: s.local_ip,
-                class,
-                far_asn: Some(s.neighbor_asn),
-                far_ip: Some(s.neighbor_ip),
-                // A configured BGP session is direct operator evidence;
-                // the IXP-hop rules never applied.
-                evidence: crate::observe::IxpHopEvidence::FULL,
-            };
-            let key = (obs.near_ip, obs.class.ixp(), obs.far_ip);
-            if self.obs_keys.insert(key) {
-                self.session_observations.push(obs);
-            }
+            self.push_session_observation(owner, s);
         }
+    }
+
+    /// Builds the observation one looking-glass session stands for under
+    /// the current KB epoch and keeps it unless an observation with the
+    /// same key is already held.
+    fn push_session_observation(&mut self, owner: Asn, s: &cfs_bgp::BgpSession) {
+        // Classification mirrors Step 1: confirmed IXP space ⇒ public.
+        let class = match self.kb().ixp_of_ip(s.neighbor_ip) {
+            Some(ixp) => LinkClass::Public { ixp },
+            None => LinkClass::Private,
+        };
+        let obs = Observation {
+            near_asn: owner,
+            near_ip: s.local_ip,
+            class,
+            far_asn: Some(s.neighbor_asn),
+            far_ip: Some(s.neighbor_ip),
+            // A configured BGP session is direct operator evidence; the
+            // IXP-hop rules never applied.
+            evidence: crate::observe::IxpHopEvidence::FULL,
+        };
+        if self
+            .obs_keys
+            .insert((obs.near_ip, obs.class.ixp(), obs.far_ip))
+        {
+            self.session_observations.push(obs);
+        }
+    }
+
+    /// Starts a new observation epoch: drops every observation, rebuilds
+    /// the looking-glass ones from the session log under the current KB
+    /// epoch, and rewinds both extraction and the constraint cursor, so
+    /// the next extraction covers every trace and the next constraint
+    /// pass is full.
+    pub(crate) fn restart_observations(&mut self) {
+        self.observations.clear();
+        self.obs_keys.clear();
+        self.processed = 0;
+        self.constrained = None;
+        self.session_observations.clear();
+        let log = std::mem::take(&mut self.bgp_log);
+        for (owner, s) in &log {
+            self.push_session_observation(*owner, s);
+        }
+        self.bgp_log = log;
     }
 
     /// Resets every derived artifact back to the post-builder state
@@ -488,8 +527,9 @@ impl<'a> Cfs<'a> {
     /// scoped pass can reproduce convergence. The caller is responsible
     /// for first truncating `traces` to the external prefix (follow-up
     /// probes from the previous run are re-issued by the replay itself).
+    /// Observations and the loop's telemetry are not touched here: the
+    /// replayed run rebuilds both.
     pub(crate) fn reset_for_replay(&mut self) {
-        self.processed = 0;
         self.hop_ips.clear();
         for t in &self.traces {
             for hop in &t.hops {
@@ -505,8 +545,6 @@ impl<'a> Cfs<'a> {
         self.new_ips_since_alias = self.hop_ips.len();
         self.aliases = AliasResolution::default();
         self.corrected.clear();
-        self.observations.clear();
-        self.obs_keys.clear();
         self.states.clear();
         self.remote_cache.clear();
         self.vp_crossed.clear();
@@ -517,36 +555,11 @@ impl<'a> Cfs<'a> {
         self.metro_cand_cache.clear();
         self.deps.clear();
         self.clock_ms = 0;
-        self.iterations.clear();
         self.traces_issued = 0;
-        self.conv_hists.clear();
         self.retry_budget = RetryBudget::new(self.cfg.retry_budget);
         self.breaker =
             CircuitBreaker::new(self.cfg.breaker_threshold, self.cfg.breaker_cooldown_ms);
         self.failed_probes = 0;
-        // Rebuild the looking-glass observations under the current KB
-        // epoch, exactly as ingest_bgp_sessions would have built them.
-        self.session_observations.clear();
-        let log = std::mem::take(&mut self.bgp_log);
-        for (owner, s) in &log {
-            let class = match self.kb().ixp_of_ip(s.neighbor_ip) {
-                Some(ixp) => LinkClass::Public { ixp },
-                None => LinkClass::Private,
-            };
-            let obs = Observation {
-                near_asn: *owner,
-                near_ip: s.local_ip,
-                class,
-                far_asn: Some(s.neighbor_asn),
-                far_ip: Some(s.neighbor_ip),
-                evidence: crate::observe::IxpHopEvidence::FULL,
-            };
-            let key = (obs.near_ip, obs.class.ixp(), obs.far_ip);
-            if self.obs_keys.insert(key) {
-                self.session_observations.push(obs);
-            }
-        }
-        self.bgp_log = log;
     }
 
     /// Runs the search to convergence (or the iteration cap) and returns
@@ -564,22 +577,52 @@ impl<'a> Cfs<'a> {
         self.build_report()
     }
 
-    /// The iterative constraint loop: applies constraints, records
-    /// convergence, issues follow-ups, and stops on the paper's
-    /// staleness/iteration-cap/all-done conditions. Leaves every verdict
-    /// in `self.states`; callers build the report separately.
+    /// Resolves aliases, extracts every trace, and runs the convergence
+    /// loop over all of it. Leaves every verdict in `self.states`;
+    /// callers build the report separately.
     pub(crate) fn run_to_convergence(&mut self) {
         self.refresh_aliases();
         self.process_new_traces();
+        self.converge_from(None);
+    }
 
+    /// The convergence loop (§4, Steps 2–4): constrain, combine aliases,
+    /// record convergence, issue follow-ups, and stop on the paper's
+    /// staleness/iteration-cap/all-done conditions.
+    ///
+    /// Each pass applies only the observations appended since the
+    /// previous one; the first pass of an observation epoch (see
+    /// [`Cfs::restart_observations`]) applies them all. That is exact
+    /// because candidate sets only narrow: re-applying an observation to
+    /// a state that already absorbed it changes nothing, and one dropped
+    /// for an empty intersection would be dropped again (only
+    /// [`IfaceState::conflicts`] would count it twice). Likewise an alias
+    /// set none of whose members a pass constrained is already at its
+    /// fixed point, so only the touched sets are re-combined.
+    ///
+    /// A `frontier` drops those interfaces' states, and the first pass
+    /// re-applies every observation but only to endpoints inside it: a
+    /// session delta re-converges exactly its dirty interfaces this way.
+    /// The frontier must be closed over alias sets
+    /// ([`Cfs::alias_closure`]).
+    pub(crate) fn converge_from(&mut self, mut frontier: Option<&BTreeSet<Ipv4Addr>>) {
+        if let Some(scope) = frontier {
+            for ip in scope {
+                self.states.remove(ip);
+            }
+            self.constrained = None;
+        }
+        self.iterations.clear();
+        self.conv_hists.clear();
         let mut stale = 0usize;
         let mut last_resolved = 0usize;
         for iteration in 1..=self.cfg.max_iterations {
             cfs_obs::span!(self.recorder, "cfs.iteration");
             self.recorder.counter("cfs.iterations", 1);
-            self.apply_constraints(iteration);
+            let touched = self.constrain_pass(iteration, frontier.take());
             if self.cfg.alias_constraints {
-                self.apply_alias_constraints(iteration);
+                let scope = touched.map(|ips| self.alias_closure(&ips));
+                self.alias_pass(iteration, scope.as_ref());
             }
             self.record_convergence(iteration);
             let resolved = self.resolved_count();
@@ -638,77 +681,6 @@ impl<'a> Cfs<'a> {
     }
 
     // ------------------------------------------------------------------
-    // Incremental re-convergence (the session's dirty-frontier sweep)
-    // ------------------------------------------------------------------
-
-    /// Re-derives the states of exactly the interfaces in `scope` from
-    /// the current observation list and knowledge base, leaving every
-    /// other state untouched.
-    ///
-    /// Correctness rests on the iteration-1 fixed point of follow-up-less
-    /// configurations: with no new measurements arriving, the constraint
-    /// loop's state after iteration 1 equals its state at convergence
-    /// (observation constraints are static sets, re-applying them is a
-    /// no-op, and alias combination is idempotent). One scoped sweep at
-    /// `iteration = 1` therefore reproduces, byte-for-byte, what a
-    /// from-scratch batch run would compute for the scoped interfaces —
-    /// provided `scope` is closed over alias sets (callers union in every
-    /// member of any alias set containing a dirty interface).
-    pub(crate) fn kernel_converge(&mut self, scope: &BTreeSet<Ipv4Addr>) {
-        cfs_obs::span!(self.recorder, "serve.kernel");
-        for ip in scope {
-            self.states.remove(ip);
-        }
-        self.apply_constraints_scoped(1, Some(scope));
-        if self.cfg.alias_constraints {
-            self.apply_alias_constraints_scoped(1, Some(scope));
-        }
-    }
-
-    /// Rebuilds `iterations` and `conv_hists` as the follow-up-less batch
-    /// loop would have produced them over the current (fixed-point)
-    /// states: the per-iteration resolved/tracked counts are constant, so
-    /// the loop's control flow — staleness counter, iteration cap,
-    /// all-done early exit — is replayed against constants.
-    pub(crate) fn synthesize_iterations(&mut self) {
-        self.iterations.clear();
-        self.conv_hists.clear();
-        let resolved = self.resolved_count();
-        let tracked = self.states.len();
-        let all_done = self
-            .states
-            .values()
-            .all(|s| s.outcome() != SearchOutcome::UnresolvedLocal);
-        let mut stale = 0usize;
-        let mut last_resolved = 0usize;
-        for iteration in 1..=self.cfg.max_iterations {
-            let mut hist = CandidateHistogram::new(iteration);
-            for state in self.states.values() {
-                hist.record(state.candidates.as_ref().map(FacilitySet::len));
-            }
-            self.conv_hists.push(hist);
-            self.iterations.push(IterationStats {
-                iteration,
-                resolved,
-                tracked,
-                traces_issued: 0,
-            });
-            if resolved == last_resolved {
-                stale += 1;
-                if stale >= self.cfg.stale_iterations {
-                    break;
-                }
-            } else {
-                stale = 0;
-            }
-            last_resolved = resolved;
-            if all_done {
-                break;
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
     // Data preparation
     // ------------------------------------------------------------------
 
@@ -725,15 +697,8 @@ impl<'a> Cfs<'a> {
         self.corrected = corrected;
         self.new_ips_since_alias = 0;
         // Mappings may have shifted: rebuild the observation list from
-        // every trace under the new view. Session observations come from
-        // authoritative LG output and survive as-is.
-        self.observations.clear();
-        self.obs_keys.clear();
-        for obs in &self.session_observations {
-            self.obs_keys
-                .insert((obs.near_ip, obs.class.ixp(), obs.far_ip));
-        }
-        self.processed = 0;
+        // every trace under the new view.
+        self.restart_observations();
     }
 
     /// Extracts observations from traces ingested since the last call.
@@ -860,61 +825,61 @@ impl<'a> Cfs<'a> {
     // Steps 2 + 3: constraints
     // ------------------------------------------------------------------
 
-    fn apply_constraints(&mut self, iteration: usize) {
-        self.apply_constraints_scoped(iteration, None);
-    }
-
-    /// The constraint pass over the merged observation list. With
-    /// `scope: None` this is the full batch pass; with a scope, only
-    /// endpoints inside it are (re-)constrained — the session's dirty
-    /// frontier sweep. The observation order, and therefore every
-    /// interface's constraint subsequence, is identical in both modes.
-    pub(crate) fn apply_constraints_scoped(
+    /// Step 2 over the observations the loop has not applied yet — all
+    /// of them, looking-glass ones last, on an epoch's first pass — and
+    /// only to endpoints inside `scope`, when given. Returns the
+    /// interfaces it constrained, or `None` after an unscoped full pass,
+    /// which leaves every alias set to re-combine.
+    fn constrain_pass(
         &mut self,
         iteration: usize,
         scope: Option<&BTreeSet<Ipv4Addr>>,
-    ) {
+    ) -> Option<BTreeSet<Ipv4Addr>> {
         cfs_obs::span!(self.recorder, "stage.constrain");
         let in_scope = |ip: Ipv4Addr| scope.is_none_or(|s| s.contains(&ip));
         let mut observations = std::mem::take(&mut self.observations);
-        observations.extend(self.session_observations.iter().cloned());
-        self.prefill_remote_verdicts(&observations, scope);
+        let extracted = observations.len();
+        let full = self.constrained.is_none() && scope.is_none();
+        let start = match self.constrained {
+            Some(cursor) => cursor,
+            None => {
+                observations.extend(self.session_observations.iter().cloned());
+                0
+            }
+        };
+        let batch = &observations[start..];
+        self.prefill_remote_verdicts(batch, scope);
         self.recorder
-            .counter("constrain.observations", observations.len() as u64);
-        for obs in &observations {
-            match obs.class {
-                LinkClass::Public { ixp } => {
-                    if in_scope(obs.near_ip) {
-                        self.constrain_public(
-                            obs.near_asn,
-                            obs.near_ip,
-                            ixp,
-                            iteration,
-                            obs.evidence,
-                        );
-                    }
-                    if let (Some(far_asn), Some(far_ip)) = (obs.far_asn, obs.far_ip) {
-                        if in_scope(far_ip) {
-                            self.constrain_public(far_asn, far_ip, ixp, iteration, obs.evidence);
-                        }
-                    }
+            .counter("constrain.observations", batch.len() as u64);
+        let mut touched = BTreeSet::new();
+        for obs in batch {
+            // (owner, interface, peer AS) for each end, near end first.
+            let ends = [
+                Some((obs.near_asn, obs.near_ip, obs.far_asn)),
+                obs.far_asn
+                    .zip(obs.far_ip)
+                    .map(|(asn, ip)| (asn, ip, Some(obs.near_asn))),
+            ];
+            for (owner, ip, peer) in ends.into_iter().flatten() {
+                if !in_scope(ip) {
+                    continue;
                 }
-                LinkClass::Private => {
-                    if let Some(far_asn) = obs.far_asn {
-                        if in_scope(obs.near_ip) {
-                            self.constrain_private(obs.near_asn, obs.near_ip, far_asn, iteration);
-                        }
-                        if let Some(far_ip) = obs.far_ip {
-                            if in_scope(far_ip) {
-                                self.constrain_private(far_asn, far_ip, obs.near_asn, iteration);
-                            }
-                        }
+                match (obs.class, peer) {
+                    (LinkClass::Public { ixp }, _) => {
+                        self.constrain_public(owner, ip, ixp, iteration, obs.evidence);
                     }
+                    (LinkClass::Private, Some(peer)) => {
+                        self.constrain_private(owner, ip, peer, iteration);
+                    }
+                    (LinkClass::Private, None) => continue,
                 }
+                touched.insert(ip);
             }
         }
-        observations.truncate(observations.len() - self.session_observations.len());
+        observations.truncate(extracted);
         self.observations = observations;
+        self.constrained = Some(extracted);
+        (!full).then_some(touched)
     }
 
     /// Pre-computes the remote-peering RTT verdicts that
@@ -1179,29 +1144,36 @@ impl<'a> Cfs<'a> {
         }
     }
 
-    /// Step 3: all aliases of a router share its facility, so their
-    /// candidate sets intersect.
-    fn apply_alias_constraints(&mut self, iteration: usize) {
-        self.apply_alias_constraints_scoped(iteration, None);
+    /// Closes a set of interfaces over alias sets: every member of any
+    /// alias set containing one of them joins (alias sets are disjoint,
+    /// so one level of closure suffices).
+    pub(crate) fn alias_closure(&self, ips: &BTreeSet<Ipv4Addr>) -> BTreeSet<Ipv4Addr> {
+        let mut closure = ips.clone();
+        for ip in ips {
+            if let Some(members) = self.aliases.aliases_of(*ip) {
+                closure.extend(members.iter().copied());
+            }
+        }
+        closure
     }
 
-    /// Step 3 over every alias set (scope `None`) or only the sets
-    /// intersecting the dirty frontier. A scoped caller must pass a
-    /// frontier closed over alias sets, so any set it touches is
-    /// entirely inside the scope and the combined intersection matches
-    /// the full pass.
-    pub(crate) fn apply_alias_constraints_scoped(
-        &mut self,
-        iteration: usize,
-        scope: Option<&BTreeSet<Ipv4Addr>>,
-    ) {
+    /// Step 3: all aliases of a router share its facility, so their
+    /// candidate sets intersect. Runs over every alias set (`scope:
+    /// None`) or over the sets inside `scope`, which must be closed over
+    /// alias sets so each set combines whole.
+    fn alias_pass(&mut self, iteration: usize, scope: Option<&BTreeSet<Ipv4Addr>>) {
         cfs_obs::span!(self.recorder, "stage.alias_constrain");
-        for set in self.aliases.sets.clone() {
-            if !scope.is_none_or(|s| set.iter().any(|ip| s.contains(ip))) {
-                continue;
-            }
+        let sets: BTreeSet<usize> = match scope {
+            None => (0..self.aliases.sets.len()).collect(),
+            Some(ips) => ips
+                .iter()
+                .filter_map(|ip| self.aliases.set_of.get(ip).copied())
+                .collect(),
+        };
+        for idx in sets {
+            let set = &self.aliases.sets[idx];
             let mut combined: Option<FacilitySet> = None;
-            for ip in &set {
+            for ip in set {
                 if let Some(state) = self.states.get(ip) {
                     if let Some(c) = &state.candidates {
                         combined = Some(match combined {
@@ -1217,7 +1189,7 @@ impl<'a> Cfs<'a> {
                 // data; leave the individual states untouched.
                 continue;
             }
-            for ip in &set {
+            for ip in set {
                 if let Some(state) = self.states.get_mut(ip) {
                     state.constrain(&combined, iteration);
                 }

@@ -7,27 +7,28 @@
 //! report, and then absorbs [`Delta`]s — new traceroute campaigns, a
 //! knowledge-base epoch flip, a vantage point going down — by dirtying
 //! exactly the interfaces whose constraint inputs changed and
-//! re-converging only that frontier ([`Cfs::kernel_converge`]). After
-//! every delta the cached report is byte-identical to what a from-scratch
-//! batch run over the merged inputs would produce; the determinism tests
-//! in `crates/core/tests/session.rs` assert this at several thread
-//! counts, with and without fault injection.
+//! re-converging only that frontier. After every delta the cached report
+//! is byte-identical to what a from-scratch batch run over the merged
+//! inputs would produce; the determinism tests in
+//! `crates/core/tests/session.rs` assert this at several thread counts,
+//! with and without fault injection.
 //!
-//! Incremental correctness rests on the **iteration-1 fixed point**:
-//! under follow-up-less configurations
-//! (`CfsConfig::followup_interfaces == 0`) the batch loop's serialized
-//! state stops changing after the first iteration — observation
-//! constraints are static sets, re-intersecting them is idempotent, and
-//! alias combination leaves every member at the combined set. One scoped
-//! constraint pass therefore reproduces convergence for the dirty
-//! interfaces, and [`Cfs::synthesize_iterations`] replays the loop's
-//! control flow against the (constant) per-iteration counts to rebuild
-//! the convergence telemetry the batch loop would have written.
+//! There is one convergence loop, [`Cfs::converge_from`], and a delta
+//! runs through it. The session hands the dirty scope, closed over
+//! alias sets, to the loop as its first frontier; the loop drops those
+//! states, and its first pass re-applies every observation, but only to
+//! endpoints inside the frontier. This is exact because candidate sets
+//! only narrow: the fresh batch would apply the same observations in the
+//! same order, and whatever it re-applies in later iterations changes
+//! nothing. Under follow-up-less configurations
+//! (`CfsConfig::followup_interfaces == 0`) no later pass finds a new
+//! observation, so the rest of the loop only writes the convergence
+//! telemetry the batch loop would have written.
 //!
-//! Follow-up-driven configurations (`followup_interfaces > 0`) have no
-//! such fixed point: targeted probing reacts to global state, so a
-//! scoped pass cannot reproduce convergence. Those sessions still
-//! absorb deltas — [`CfsSession::apply_delta`] falls back to a **full
+//! Follow-up-driven configurations (`followup_interfaces > 0`) cannot
+//! take that path: targeted probing reacts to global state, so a scoped
+//! pass cannot reproduce convergence. Those sessions still absorb
+//! deltas — [`CfsSession::apply_delta`] falls back to a **full
 //! deterministic replay**: external inputs are merged (discarding the
 //! previous run's follow-up probes, which the replay re-issues itself),
 //! derived state is reset, and the batch loop re-runs from scratch.
@@ -42,10 +43,9 @@ use cfs_kb::KnowledgeBase;
 use cfs_obs::export::fnv1a64;
 use cfs_obs::{Recorder, TraceRecorder};
 use cfs_traceroute::Trace;
-use cfs_types::{Asn, FacilityId, IxpId, LinkClass, MetroId, Result, VantagePointId};
+use cfs_types::{Asn, FacilityId, IxpId, MetroId, Result, VantagePointId};
 
 use crate::engine::{Cfs, DepKey, KbHandle};
-use crate::observe::Observation;
 use crate::remote::RemoteTester;
 use crate::report::CfsReport;
 use crate::state::SearchOutcome;
@@ -246,8 +246,9 @@ impl<'a> CfsSession<'a> {
     }
 
     /// Applies one delta: dirties the interfaces whose constraint inputs
-    /// changed, closes the set over alias sets, re-converges exactly that
-    /// frontier, rebuilds the report, and bumps the epoch.
+    /// changed, closes the set over alias sets, runs the convergence loop
+    /// with exactly that frontier, rebuilds the report, and bumps the
+    /// epoch.
     ///
     /// Emits `serve.delta`, `serve.dirty_ifaces`, and `serve.reconverged`
     /// through the session recorder.
@@ -271,11 +272,11 @@ impl<'a> CfsSession<'a> {
             Delta::KbEpochFlip(kb) => (self.absorb_kb_flip(kb), true),
             Delta::VpStatusChange { vp, up } => (self.absorb_vp_status(vp, up), false),
         };
-        let scope = self.alias_closure(&dirty);
+        let scope = self.cfs.alias_closure(&dirty);
         if purge_remote {
             // Dirty observation neighborhoods can change which exchange
             // first triggers an interface's remote test; drop the cached
-            // verdicts so the kernel re-derives them exactly as a fresh
+            // verdicts so the loop re-derives them exactly as a fresh
             // batch run would. Clean interfaces keep theirs: their
             // trigger sequence is an unchanged prefix-preserving
             // subsequence, so the cached verdict is already the batch
@@ -284,8 +285,7 @@ impl<'a> CfsSession<'a> {
                 self.cfs.remote_cache.remove(ip);
             }
         }
-        self.cfs.kernel_converge(&scope);
-        self.cfs.synthesize_iterations();
+        self.cfs.converge_from(Some(&scope));
         let total = self.cfs.states.len();
         self.cfs
             .recorder
@@ -511,30 +511,7 @@ impl<'a> CfsSession<'a> {
         // replay the looking-glass log, then re-extract every trace.
         // Alias resolution and ownership correction never read the KB, so
         // they stand.
-        self.cfs.observations.clear();
-        self.cfs.obs_keys.clear();
-        self.cfs.session_observations.clear();
-        self.cfs.processed = 0;
-        let log = std::mem::take(&mut self.cfs.bgp_log);
-        for (owner, s) in &log {
-            let class = match self.cfs.kb().ixp_of_ip(s.neighbor_ip) {
-                Some(ixp) => LinkClass::Public { ixp },
-                None => LinkClass::Private,
-            };
-            let obs = Observation {
-                near_asn: *owner,
-                near_ip: s.local_ip,
-                class,
-                far_asn: Some(s.neighbor_asn),
-                far_ip: Some(s.neighbor_ip),
-                evidence: crate::observe::IxpHopEvidence::FULL,
-            };
-            let key = (obs.near_ip, obs.class.ixp(), obs.far_ip);
-            if self.cfs.obs_keys.insert(key) {
-                self.cfs.session_observations.push(obs);
-            }
-        }
-        self.cfs.bgp_log = log;
+        self.cfs.restart_observations();
         self.cfs.process_new_traces();
 
         let after = self.fingerprints();
@@ -571,20 +548,6 @@ impl<'a> CfsSession<'a> {
             }
         }
         dirty
-    }
-
-    /// Closes a dirty set over alias sets: every member of any alias set
-    /// containing a dirty interface joins the re-convergence scope, so
-    /// the scoped alias-combination step sees whole routers (alias sets
-    /// are disjoint, so one level of closure suffices).
-    fn alias_closure(&self, dirty: &BTreeSet<Ipv4Addr>) -> BTreeSet<Ipv4Addr> {
-        let mut scope = dirty.clone();
-        for ip in dirty {
-            if let Some(members) = self.cfs.aliases.aliases_of(*ip) {
-                scope.extend(members.iter().copied());
-            }
-        }
-        scope
     }
 }
 

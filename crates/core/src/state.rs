@@ -58,8 +58,12 @@ pub struct IfaceState {
     /// First degradation symptom observed for this interface, if any.
     /// [`IfaceState::final_reason`] folds it into the verdict taxonomy.
     pub reason: Option<UnresolvedReason>,
-    /// Number of constraints whose intersection would have been empty
-    /// (kept for diagnostics; the offending constraint is dropped).
+    /// Constraint applications dropped because their intersection would
+    /// have been empty. The search loop applies each observation once
+    /// per observation epoch (a fresh alias view or KB classification),
+    /// so a persistent conflict counts once per epoch however many
+    /// iterations run. Only `conflicts > 0` carries meaning: it selects
+    /// the `constraint_conflict` reason.
     pub conflicts: usize,
     /// IXPs over which this interface was seen peering publicly.
     pub public_ixps: BTreeSet<IxpId>,

@@ -290,3 +290,53 @@ fn cfs_is_send() {
         .unwrap();
     assert_send(&cfs);
 }
+
+#[test]
+fn each_observation_is_constrained_once_per_alias_epoch() {
+    // The convergence loop applies only the observations appended since
+    // its previous pass. With re-aliasing pushed past the iteration cap
+    // the whole run is one alias epoch, and with no looking-glass feed
+    // every constrained observation came out of extraction: each must be
+    // applied exactly once, however many iterations the search takes.
+    let topo = Topology::generate(TopologyConfig::tiny()).unwrap();
+    let vps = deploy_vantage_points(&topo, &VpConfig::tiny()).unwrap();
+    let engine = Engine::new(&topo);
+    let sources = PublicSources::derive(&topo, &KbConfig::default());
+    let kb = KnowledgeBase::assemble(&sources, &topo.world);
+    let ipasn = topo.build_ipasn_db();
+    let targets: Vec<std::net::Ipv4Addr> = topo
+        .ases
+        .keys()
+        .take(12)
+        .map(|a| topo.target_ip(*a).unwrap())
+        .collect();
+    let all_vps: Vec<_> = vps.ids().collect();
+    let traces = run_campaign(
+        &engine,
+        &vps,
+        &all_vps,
+        &targets,
+        0,
+        &CampaignLimits::default(),
+    );
+    let recorder = Arc::new(TraceRecorder::deterministic());
+    let mut session = Cfs::builder(&engine, &kb)
+        .vps(&vps)
+        .ipasn(&ipasn)
+        .config(CfsConfig {
+            max_iterations: 8,
+            realias_every: 9,
+            ..CfsConfig::default()
+        })
+        .threads(1)
+        .recorder(recorder.clone())
+        .build_session()
+        .unwrap();
+    session.ingest(traces);
+    let report = session.into_report();
+    assert!(report.iterations.len() > 1, "the search must iterate");
+    let counters = recorder.snapshot().counters;
+    let extracted = counters["extract.observations_new"];
+    assert!(extracted > 0);
+    assert_eq!(counters["constrain.observations"], extracted);
+}

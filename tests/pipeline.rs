@@ -155,3 +155,25 @@ fn owner_attribution_is_mostly_correct_after_alias_majority_vote() {
         "correction made ownership worse: {right} < {raw_right}"
     );
 }
+
+#[test]
+fn tiny_seed7_report_bytes_are_pinned() {
+    // The whole `CfsReport` JSON of the reference tiny world, not just
+    // the trace the golden fixture pins: verdicts, links, iteration
+    // stats, convergence telemetry and the data-quality ledger. A
+    // refactor of the convergence loop must leave this value alone.
+    let lab = cfs::experiments::Lab::provision(cfs::experiments::Scale::Tiny, Some(7)).unwrap();
+    let report = lab.run_cfs_observed(
+        CfsConfig {
+            threads: 1,
+            ..CfsConfig::default()
+        },
+        std::sync::Arc::new(cfs::obs::TraceRecorder::deterministic()),
+    );
+    let json = serde_json::to_string(&report).unwrap();
+    assert_eq!(
+        format!("{:016x}", cfs::obs::export::fnv1a64(&json)),
+        "deeac08acbe91947",
+        "tiny seed-7 report bytes moved"
+    );
+}
