@@ -11,6 +11,7 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
+use cfs_json::{escape, Json};
 use cfs_obs::{Clock, Severity};
 
 /// Schema identifier stamped into every rendered alert line.
@@ -83,10 +84,6 @@ pub struct Alert {
     pub score_pm: u64,
     /// Tracked members of the diverged bucket (alerting floor input).
     pub support: u64,
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 impl Alert {
@@ -250,12 +247,11 @@ pub fn validate_alerts(text: &str) -> Result<AlertsSummary, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let v: serde_json::Value =
-            serde_json::from_str(line).map_err(|e| format!("line {n}: not valid JSON: {e}"))?;
-        let obj = v
-            .as_object()
-            .ok_or_else(|| format!("line {n}: not a JSON object"))?;
-        let schema = obj.get("schema").and_then(|s| s.as_str());
+        let obj = Json::parse(line).map_err(|e| format!("line {n}: not valid JSON: {e}"))?;
+        if obj.as_obj().is_none() {
+            return Err(format!("line {n}: not a JSON object"));
+        }
+        let schema = obj.get("schema").and_then(Json::as_str);
         if schema != Some(ALERTS_SCHEMA) {
             return Err(format!(
                 "line {n}: schema is {schema:?}, want {ALERTS_SCHEMA:?}"
@@ -263,7 +259,7 @@ pub fn validate_alerts(text: &str) -> Result<AlertsSummary, String> {
         }
         let num = |key: &str| -> Result<u64, String> {
             obj.get(key)
-                .and_then(|x| x.as_u64())
+                .and_then(Json::as_u64)
                 .ok_or_else(|| format!("line {n}: missing or non-integer {key:?}"))
         };
         let seq = num("seq")?;
@@ -278,7 +274,7 @@ pub fn validate_alerts(text: &str) -> Result<AlertsSummary, String> {
         last_seq = Some(seq);
         let severity = obj
             .get("severity")
-            .and_then(|s| s.as_str())
+            .and_then(Json::as_str)
             .ok_or_else(|| format!("line {n}: missing severity"))?;
         if severity != "warn" && severity != "error" {
             return Err(format!(
@@ -287,7 +283,7 @@ pub fn validate_alerts(text: &str) -> Result<AlertsSummary, String> {
         }
         let kind = obj
             .get("kind")
-            .and_then(|s| s.as_str())
+            .and_then(Json::as_str)
             .ok_or_else(|| format!("line {n}: missing kind"))?;
         if !AlertKind::ALL.iter().any(|k| k.code() == kind) {
             return Err(format!("line {n}: unknown kind {kind:?}"));
@@ -393,6 +389,15 @@ mod tests {
         let mut hot = draft(1);
         hot.score_pm = 1001;
         assert!(validate_alerts(&hot.render_json()).is_err());
+    }
+
+    #[test]
+    fn control_bytes_in_names_stay_on_one_valid_line() {
+        let mut odd = draft(1);
+        odd.facility = Some((3, "equinix\nfra3\u{1}".into()));
+        let line = odd.render_json();
+        assert!(!line.contains('\n'), "{line}");
+        assert!(validate_alerts(&line).is_ok(), "{line}");
     }
 
     #[test]

@@ -25,11 +25,14 @@ use crate::rules::{Finding, Target};
 
 /// The request-loop entry points the reachability walk starts from,
 /// as `(crate, function)` pairs: the `cfsd` accept/dispatch loop in
-/// `crates/svc` and the request dispatcher in the `cfs` binary.
+/// `crates/svc`, the JSON reader it parses request lines with
+/// (`crates/json`, whose only `parse` is `Json::parse`), and the
+/// request dispatcher in the `cfs` binary.
 pub const PANIC_ROOTS: &[(&str, &str)] = &[
     ("svc", "serve"),
     ("svc", "serve_connection"),
     ("svc", "parse_request"),
+    ("json", "parse"),
     ("cfs", "dispatch"),
 ];
 

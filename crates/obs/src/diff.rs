@@ -18,16 +18,22 @@
 //! dispatches; mixing the two schemas is malformed input, as is
 //! anything that fails to parse. The CLI maps the outcome to exit
 //! codes: 0 identical-within-tolerance, 1 drift, 2 malformed.
+//!
+//! [`validate_trace`] checks one `cfs-trace/1` document on its own —
+//! the trace half of `cfs doc-validate`, beside
+//! [`crate::MetricsDoc::validate`].
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::json::Json;
+use cfs_json::Json;
+
+use crate::export::fnv1a64;
 use crate::profile::{ProfileDoc, PROFILE_SCHEMA};
 
-/// The trace schema marker this module understands (kept in sync with
-/// `cfs_core::TRACE_SCHEMA`; the renderer lives there because the
-/// document embeds report-side convergence telemetry).
+/// Schema identifier stamped into every trace document. `cfs_core`
+/// re-exports it next to the renderer, which lives there because the
+/// document embeds report-side convergence telemetry.
 pub const TRACE_SCHEMA: &str = "cfs-trace/1";
 
 /// Why a pair of documents could not be diffed (CLI exit code 2).
@@ -433,6 +439,119 @@ pub fn diff_docs(a_raw: &str, b_raw: &str, tolerance_pct: u32) -> Result<DocDiff
         }
         other => Err(DiffError::Malformed(format!("unknown schema {other:?}"))),
     }
+}
+
+/// Validates a raw `cfs-trace/1` document, returning `(section,
+/// problem)` pairs in the style of [`crate::MetricsDoc::validate`]:
+/// digest integrity re-derived over the raw bytes, the top-level
+/// members, histogram bucket arities, shrinking convergence
+/// trajectories, and a resolution curve monotone in [0,1]. Problems are
+/// tagged with the section that failed, so a red CI run says *where* to
+/// look. Empty means valid.
+pub fn validate_trace(raw: &str) -> Vec<(&'static str, String)> {
+    let doc = match Json::parse(raw) {
+        Ok(doc) => doc,
+        Err(e) => return vec![("json", format!("document is not JSON: {e}"))],
+    };
+    let mut problems: Vec<(&'static str, String)> = Vec::new();
+
+    // Everything after the digest member is the digested body (see
+    // `cfs_core::render_trace_json`).
+    let prefix = format!("{{\"schema\":\"{TRACE_SCHEMA}\",\"digest\":\"");
+    if let Some(rest) = raw.strip_prefix(prefix.as_str()) {
+        match (rest.get(..16), rest.get(18..rest.len().saturating_sub(1))) {
+            (Some(digest_hex), Some(body)) if rest[16..].starts_with("\",") => {
+                let computed = format!("{:016x}", fnv1a64(body));
+                if computed != digest_hex {
+                    problems.push((
+                        "digest",
+                        format!("digest mismatch: header {digest_hex}, body {computed}"),
+                    ));
+                }
+            }
+            _ => problems.push(("digest", "malformed digest member".into())),
+        }
+    } else {
+        problems.push(("digest", format!("missing {TRACE_SCHEMA} schema header")));
+    }
+
+    for key in [
+        "schema",
+        "digest",
+        "counters",
+        "histogram_le",
+        "histograms",
+        "spans",
+        "convergence",
+        "resolution_curve",
+        "kb_quality",
+    ] {
+        if doc.get(key).is_none() {
+            problems.push(("structure", format!("missing top-level member {key:?}")));
+        }
+    }
+    let arity = |v: &Json, key: &str| v.get(key).and_then(Json::as_arr).map(<[Json]>::len);
+    if let Some(bounds) = arity(&doc, "histogram_le") {
+        let want = bounds + 1;
+        for (name, h) in doc
+            .get("histograms")
+            .and_then(Json::as_obj)
+            .into_iter()
+            .flatten()
+        {
+            let got = arity(h, "buckets");
+            if got != Some(want) {
+                problems.push((
+                    "histograms",
+                    format!("histogram {name:?}: {got:?} buckets, want {want}"),
+                ));
+            }
+        }
+    }
+    if let Some(conv) = doc.get("convergence") {
+        let want = arity(conv, "candidate_bucket_le").unwrap_or(0) + 1;
+        for h in conv
+            .get("per_iteration")
+            .and_then(Json::as_arr)
+            .into_iter()
+            .flatten()
+        {
+            let got = arity(h, "buckets");
+            if got != Some(want) {
+                problems.push((
+                    "convergence",
+                    format!("per_iteration buckets: {got:?}, want {want}"),
+                ));
+                break;
+            }
+        }
+        for (ip, points) in conv
+            .get("trajectories")
+            .and_then(Json::as_obj)
+            .into_iter()
+            .flatten()
+        {
+            let sizes: Vec<u64> = points
+                .as_arr()
+                .into_iter()
+                .flatten()
+                .filter_map(|p| p.as_arr()?.get(1)?.as_u64())
+                .collect();
+            if sizes.windows(2).any(|w| w[1] > w[0]) {
+                problems.push(("convergence", format!("trajectory {ip} grows: {sizes:?}")));
+            }
+        }
+    }
+    if let Some(curve) = doc.get("resolution_curve").and_then(Json::as_arr) {
+        let vals: Vec<f64> = curve.iter().filter_map(Json::as_f64).collect();
+        if vals.windows(2).any(|w| w[1] < w[0]) || vals.iter().any(|v| !(0.0..=1.0).contains(v)) {
+            problems.push((
+                "resolution_curve",
+                format!("resolution_curve not monotone in [0,1]: {vals:?}"),
+            ));
+        }
+    }
+    problems
 }
 
 struct TraceSide {

@@ -4,8 +4,9 @@
 //! counters, and monotonic histograms behind a [`Recorder`] trait, with
 //! an injectable [`Clock`] and thread-count-independent aggregation.
 //!
-//! Like `cfs-lint`, this crate is dependency-free: it sits underneath
-//! every instrumented crate and must never pull substrate code along.
+//! Like `cfs-lint`, this crate has no external dependencies: it sits
+//! underneath every instrumented crate and must never pull substrate
+//! code along. It reads documents back with `cfs-json`.
 //!
 //! The three guarantees instrumented code leans on (DESIGN.md §7):
 //!
@@ -40,14 +41,15 @@ mod clock;
 pub mod diff;
 mod events;
 pub mod export;
-mod json;
 pub mod profile;
 mod recorder;
 mod trace;
 mod window;
 
 pub use clock::{pace, Clock, Monotonic, Virtual};
-pub use diff::{diff_docs, DiffError, DocDiff, ProfileDiff, TraceDiff};
+pub use diff::{
+    diff_docs, validate_trace, DiffError, DocDiff, ProfileDiff, TraceDiff, TRACE_SCHEMA,
+};
 pub use events::{Event, EventKind, EventLog, Severity, LOG_SCHEMA};
 pub use profile::{
     render_profile_folded, render_profile_json, render_profile_report, DurationStats, ProfileDoc,

@@ -26,8 +26,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::Json;
 use crate::trace::TraceSnapshot;
+use cfs_json::Json;
 
 /// Schema identifier stamped into every profile document.
 pub const PROFILE_SCHEMA: &str = "cfs-profile/1";

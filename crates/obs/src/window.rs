@@ -33,10 +33,10 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use crate::clock::Clock;
-use crate::json::Json;
 use crate::profile::{DurationStats, PROFILE_BOUNDS_NS};
 use crate::recorder::Recorder;
 use crate::trace::{Histogram, HISTOGRAM_BOUNDS};
+use cfs_json::Json;
 
 /// Schema identifier stamped into every metrics snapshot.
 pub const METRICS_SCHEMA: &str = "cfs-metrics/1";

@@ -1,7 +1,7 @@
 //! # cfs-svc
 //!
-//! The service layer of `cfsd`: a dependency-free transport and wire
-//! protocol for querying a resident CFS session.
+//! The service layer of `cfsd`: a transport and wire protocol, with no
+//! external dependencies, for querying a resident CFS session.
 //!
 //! The crate deliberately knows nothing about the engine. It owns three
 //! things:
@@ -21,15 +21,14 @@
 //!    socket use stays single-homed in this crate (`cfs-lint`'s
 //!    `raw-socket` rule sanctions it anywhere else).
 //!
-//! JSON parsing is hand-rolled in [`json`], mirroring the reader
-//! `cfs-obs` uses for trace diffing: member order preserved, numbers
-//! kept as source text, byte-offset error messages.
+//! Requests are read with `cfs-json`, the workspace's one JSON reader:
+//! member order preserved, numbers kept as source text, byte-offset
+//! error messages.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod client;
-mod json;
 pub mod proto;
 pub mod server;
 

@@ -29,7 +29,7 @@
 //! the CLI tests; new codes may be added, existing ones never change
 //! meaning.
 
-use crate::json::{escape, Json};
+use cfs_json::{escape, Json};
 
 /// The protocol version tag every request and response carries.
 pub const SCHEMA: &str = "cfs-api/1";

@@ -68,6 +68,7 @@ pub use cfs_core as core;
 pub use cfs_detect as detect;
 pub use cfs_experiments as experiments;
 pub use cfs_geo as geo;
+pub use cfs_json as json;
 pub use cfs_kb as kb;
 pub use cfs_net as net;
 pub use cfs_obs as obs;

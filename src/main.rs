@@ -48,6 +48,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cfs::detect::{Detector, DetectorConfig, EpochObservation, LocusNames};
+use cfs::json::Json;
 use cfs::obs::{
     pace, Clock, EventKind, EventLog, MetricsDoc, Monotonic, Recorder, TraceRecorder,
     WindowedRecorder,
@@ -84,8 +85,9 @@ fn main() {
         ),
         "census" => census(scale, seed),
         "validate" => validate(scale, seed),
-        "trace-validate" => trace_validate(args.get(2).map(String::as_str)),
-        "metrics-validate" => metrics_validate(args.get(2).map(String::as_str)),
+        "doc-validate" | "trace-validate" | "metrics-validate" | "alerts-validate" => {
+            doc_validate(command, args.get(2).map(String::as_str))
+        }
         "profile" => profile_cmd(
             args.get(2).map(String::as_str),
             flag_value(&args, "--top"),
@@ -111,7 +113,6 @@ fn main() {
         "query" => query_cmd(&args),
         "metrics" => metrics_cmd(&args),
         "watch" => watch_cmd(&args),
-        "alerts-validate" => alerts_validate_cmd(args.get(2).map(String::as_str)),
         "top" => top_cmd(&args),
         "help" | "--help" | "-h" => {
             print_help();
@@ -151,9 +152,10 @@ fn print_help() {
          \x20            pdb-net): shared/only-A/only-B claims + Jaccard\n\
          \x20 census     remote-peering census over the exchanges\n\
          \x20 validate   §6 validation scorecard\n\
-         \x20 trace-validate FILE  check a --trace-json export (schema + digest)\n\
-         \x20 metrics-validate FILE  check a cfs-metrics/1 snapshot (schema +\n\
-         \x20            window/totals integrity)\n\
+         \x20 doc-validate FILE  check a cfs-trace/1, cfs-metrics/1, cfs-profile/1\n\
+         \x20            or cfs-alerts/1 document, picked by its schema member;\n\
+         \x20            aliases trace-validate, metrics-validate and\n\
+         \x20            alerts-validate also require their schema\n\
          \x20 profile FILE [--top N]  stage tree + bottlenecks of a profile export\n\
          \x20            (--folded emits flamegraph-compatible folded stacks)\n\
          \x20 trace-diff A B  compare two trace or profile exports\n\
@@ -186,8 +188,6 @@ fn print_help() {
          \x20            (--json for JSON lines; --out FILE appends them;\n\
          \x20            --follow polls every --interval-ms N until --polls N;\n\
          \x20            --min-severity warn|error filters at the daemon)\n\
-         \x20 alerts-validate FILE  check a cfs-alerts/1 export (schema,\n\
-         \x20            vocabulary, cursor monotonicity)\n\
          \x20 top        polling dashboard over a live daemon: request rates,\n\
          \x20            per-op latency, delta churn, recent events\n\
          \x20            (--interval-ms N, default 1000; --polls N to stop)\n\
@@ -493,7 +493,7 @@ fn profile_cmd(path: Option<&str>, top: Option<String>, folded: bool) -> i32 {
 /// The `shape` member of a trace document, when present: the run-shape
 /// fingerprint `cfs run` stamps next to the digest.
 fn trace_shape(raw: &str) -> Option<String> {
-    serde_json::from_str::<serde_json::Value>(raw)
+    Json::parse(raw)
         .ok()?
         .get("shape")?
         .as_str()
@@ -612,12 +612,16 @@ fn trace_diff(
     }
 }
 
-/// Checks a `--trace-json` export: schema marker, digest integrity, and
-/// the structural invariants the document promises (monotone resolution
-/// curve, shrinking trajectories, aligned histogram buckets).
-fn trace_validate(path: Option<&str>) -> i32 {
+/// `cfs doc-validate FILE`: checks any versioned document this tool
+/// writes. The `schema` member of the document — or, for JSONL, of its
+/// first non-blank line — picks the validator. `trace-validate`,
+/// `metrics-validate` and `alerts-validate` are aliases that pin the
+/// schema they expect. Problems print as `invalid [section]: …`, bar
+/// the alerts checker's one-line verdict. Exit 0 valid, 1 invalid,
+/// unreadable or of an unknown schema, 2 usage.
+fn doc_validate(command: &str, path: Option<&str>) -> i32 {
     let Some(path) = path else {
-        eprintln!("usage: cfs trace-validate FILE");
+        eprintln!("usage: cfs {command} FILE");
         return 2;
     };
     let raw = match std::fs::read_to_string(path) {
@@ -627,157 +631,65 @@ fn trace_validate(path: Option<&str>) -> i32 {
             return 1;
         }
     };
-    // Problems are tagged with the document section that failed, so a
-    // red CI run says *where* to look, not just that something is off.
-    let mut problems: Vec<(&'static str, String)> = Vec::new();
-
-    // Digest check on the raw bytes: everything after the digest member
-    // is the digested body (see cfs_core::render_trace_json).
-    let prefix = format!("{{\"schema\":\"{}\",\"digest\":\"", cfs::core::TRACE_SCHEMA);
-    if let Some(rest) = raw.strip_prefix(prefix.as_str()) {
-        match (rest.get(..16), rest.get(18..rest.len().saturating_sub(1))) {
-            (Some(digest_hex), Some(body)) if rest[16..].starts_with("\",") => {
-                let computed = format!("{:016x}", cfs::obs::export::fnv1a64(body));
-                if computed != digest_hex {
-                    problems.push((
-                        "digest",
-                        format!("digest mismatch: header {digest_hex}, body {computed}"),
-                    ));
-                }
-            }
-            _ => problems.push(("digest", "malformed digest member".into())),
+    let pin = match command {
+        "trace-validate" => Some(cfs::obs::TRACE_SCHEMA),
+        "metrics-validate" => Some(cfs::obs::METRICS_SCHEMA),
+        "alerts-validate" => Some(cfs::detect::ALERTS_SCHEMA),
+        _ => None,
+    };
+    let found = Json::parse(&raw)
+        .or_else(|_| Json::parse(raw.lines().find(|l| !l.trim().is_empty()).unwrap_or("")))
+        .ok()
+        .and_then(|doc| doc.get("schema")?.as_str().map(String::from));
+    let schema = match (pin, found.as_deref()) {
+        (Some(want), Some(got)) if got != want => {
+            eprintln!("invalid [schema]: schema is {got:?}, want {want:?}");
+            return 1;
         }
-    } else {
-        problems.push((
-            "digest",
-            format!("missing {} schema header", cfs::core::TRACE_SCHEMA),
-        ));
-    }
-
-    let doc: serde_json::Value = match serde_json::from_str(&raw) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("invalid [json]: {path} is not JSON: {e}");
+        (Some(want), _) => want,
+        (None, Some(got)) => got,
+        (None, None) => {
+            eprintln!("invalid [schema]: {path} carries no schema member");
             return 1;
         }
     };
-    for key in [
-        "schema",
-        "digest",
-        "counters",
-        "histogram_le",
-        "histograms",
-        "spans",
-        "convergence",
-        "resolution_curve",
-        "kb_quality",
-    ] {
-        if doc.get(key).is_none() {
-            problems.push(("structure", format!("missing top-level member {key:?}")));
+    let sections = |problems: Vec<(&str, String)>| {
+        if problems.is_empty() {
+            return Ok(format!("{path}: valid {schema} document"));
         }
-    }
-    if let Some(bounds) = doc.get("histogram_le").and_then(|v| v.as_array()) {
-        let want = bounds.len() + 1;
-        for (name, h) in doc
-            .get("histograms")
-            .and_then(|v| v.as_object())
-            .map(|m| m.iter())
-            .into_iter()
-            .flatten()
-        {
-            let got = h.get("buckets").and_then(|b| b.as_array()).map(Vec::len);
-            if got != Some(want) {
-                problems.push((
-                    "histograms",
-                    format!("histogram {name:?}: {got:?} buckets, want {want}"),
-                ));
-            }
-        }
-    }
-    if let Some(conv) = doc.get("convergence") {
-        let le_len = conv
-            .get("candidate_bucket_le")
-            .and_then(|v| v.as_array())
-            .map(Vec::len)
-            .unwrap_or(0);
-        for h in conv
-            .get("per_iteration")
-            .and_then(|v| v.as_array())
-            .into_iter()
-            .flatten()
-        {
-            let got = h.get("buckets").and_then(|b| b.as_array()).map(Vec::len);
-            if got != Some(le_len + 1) {
-                problems.push((
-                    "convergence",
-                    format!("per_iteration buckets: {got:?}, want {}", le_len + 1),
-                ));
-                break;
-            }
-        }
-        for (ip, points) in conv
-            .get("trajectories")
-            .and_then(|v| v.as_object())
-            .map(|m| m.iter())
-            .into_iter()
-            .flatten()
-        {
-            let sizes: Vec<u64> = points
-                .as_array()
-                .into_iter()
-                .flatten()
-                .filter_map(|p| p.as_array().and_then(|pair| pair.get(1)?.as_u64()))
-                .collect();
-            if sizes.windows(2).any(|w| w[1] > w[0]) {
-                problems.push(("convergence", format!("trajectory {ip} grows: {sizes:?}")));
-            }
-        }
-    }
-    if let Some(curve) = doc.get("resolution_curve").and_then(|v| v.as_array()) {
-        let vals: Vec<f64> = curve.iter().filter_map(|v| v.as_f64()).collect();
-        if vals.windows(2).any(|w| w[1] < w[0]) || vals.iter().any(|v| !(0.0..=1.0).contains(v)) {
-            problems.push((
-                "resolution_curve",
-                format!("resolution_curve not monotone in [0,1]: {vals:?}"),
-            ));
-        }
-    }
-
-    if problems.is_empty() {
-        println!("{path}: valid {} document", cfs::core::TRACE_SCHEMA);
-        0
-    } else {
-        for (section, p) in &problems {
-            eprintln!("invalid [{section}]: {p}");
-        }
-        1
-    }
-}
-
-/// `cfs metrics-validate`: check a saved `cfs-metrics/1` snapshot —
-/// schema header, window/bucket structure, and the totals-equals-merged-
-/// windows integrity invariant. Exit 0 valid, 1 invalid, 2 usage.
-fn metrics_validate(path: Option<&str>) -> i32 {
-    let Some(path) = path else {
-        eprintln!("usage: cfs metrics-validate FILE");
-        return 2;
+        Err(problems
+            .iter()
+            .map(|(section, p)| format!("invalid [{section}]: {p}\n"))
+            .collect())
     };
-    let raw = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("failed to read {path}: {e}");
-            return 1;
-        }
+    let verdict: Result<String, String> = match schema {
+        cfs::obs::TRACE_SCHEMA => sections(cfs::obs::validate_trace(&raw)),
+        cfs::obs::METRICS_SCHEMA => sections(MetricsDoc::validate(&raw)),
+        cfs::obs::PROFILE_SCHEMA => sections(match cfs::obs::ProfileDoc::parse(&raw) {
+            Ok(_) => Vec::new(),
+            Err(e) => vec![("structure", e)],
+        }),
+        // The alerts checker reports the first bad line on one line.
+        cfs::detect::ALERTS_SCHEMA => match cfs::detect::validate_alerts(&raw) {
+            Ok(s) => Ok(format!(
+                "{path}: valid {schema} ({} alerts, {} error-severity, {} localized)",
+                s.alerts, s.errors, s.localized
+            )),
+            Err(e) => Err(format!("{path}: invalid {schema}: {e}\n")),
+        },
+        other => Err(format!(
+            "invalid [schema]: no validator for schema {other:?}\n"
+        )),
     };
-    let problems = MetricsDoc::validate(&raw);
-    if problems.is_empty() {
-        println!("{path}: valid {} document", cfs::obs::METRICS_SCHEMA);
-        0
-    } else {
-        for (section, p) in &problems {
-            eprintln!("invalid [{section}]: {p}");
+    match verdict {
+        Ok(line) => {
+            println!("{line}");
+            0
         }
-        1
+        Err(text) => {
+            eprint!("{text}");
+            1
+        }
     }
 }
 
@@ -2029,36 +1941,6 @@ fn watch_cmd(args: &[String]) -> i32 {
                 eprintln!("drained {drained} alerts (cursor {cursor})");
             }
             return 0;
-        }
-    }
-}
-
-/// `cfs alerts-validate`: check a `cfs-alerts/1` export (one JSON
-/// record per line, as written by `cfs watch --out`). Exit 0 valid,
-/// 1 invalid, 2 usage.
-fn alerts_validate_cmd(path: Option<&str>) -> i32 {
-    let Some(path) = path else {
-        eprintln!("usage: cfs alerts-validate FILE");
-        return 2;
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("failed to read {path}: {e}");
-            return 1;
-        }
-    };
-    match cfs::detect::validate_alerts(&text) {
-        Ok(summary) => {
-            println!(
-                "{path}: valid cfs-alerts/1 ({} alerts, {} error-severity, {} localized)",
-                summary.alerts, summary.errors, summary.localized
-            );
-            0
-        }
-        Err(e) => {
-            eprintln!("{path}: invalid cfs-alerts/1: {e}");
-            1
         }
     }
 }

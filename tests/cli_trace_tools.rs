@@ -346,3 +346,87 @@ fn trace_validate_flags_convergence_violations_behind_a_good_digest() {
     assert!(err.contains("trajectory 10.0.0.1 grows"), "{err}");
     assert!(!err.contains("[digest]"), "digest was valid:\n{err}");
 }
+
+#[test]
+fn doc_validate_dispatches_on_the_schema_member() {
+    let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
+    let trace_fixture = format!("{fixtures}/corrupt-trace-bad-digest.json");
+    let metrics_fixture = format!("{fixtures}/corrupt-metrics.json");
+
+    // The corrupt fixtures fail with the sections their aliases report.
+    for (fixture, sections) in [
+        (
+            &trace_fixture,
+            &[
+                "[digest]",
+                "[structure]",
+                "[histograms]",
+                "[resolution_curve]",
+            ][..],
+        ),
+        (
+            &metrics_fixture,
+            &["[windows]", "[histograms]", "[durations]", "[totals]"][..],
+        ),
+    ] {
+        let out = cfs(&["doc-validate", fixture]);
+        assert_eq!(out.status.code(), Some(1), "{fixture}");
+        let err = stderr(&out);
+        for section in sections {
+            assert!(err.contains(section), "missing {section} in:\n{err}");
+        }
+    }
+
+    // A fresh trace, its profile sidecar and a rendered alert line pass.
+    let trace = tmp("doc-validate.trace.json");
+    let prof = tmp("doc-validate.prof.json");
+    let run = cfs(&[
+        "run",
+        "--scale",
+        "tiny",
+        "--seed",
+        "7",
+        "--trace-json",
+        trace.to_str().unwrap(),
+        "--profile-json",
+        prof.to_str().unwrap(),
+    ]);
+    assert!(run.status.success(), "{}", stderr(&run));
+    let alert = cfs::detect::Alert {
+        seq: 0,
+        t_ns: 0,
+        epoch: 3,
+        severity: cfs::obs::Severity::Error,
+        kind: cfs::detect::AlertKind::FacilityOutage,
+        facility: Some((2, "equinix fra3".into())),
+        ixp: None,
+        observed_pm: 0,
+        baseline_pm: 990,
+        score_pm: 1000,
+        support: 6,
+    };
+    let alerts = tmp("doc-validate.alerts.jsonl");
+    std::fs::write(&alerts, alert.render_json() + "\n").expect("fixture written");
+    for (path, schema) in [
+        (&trace, "cfs-trace/1"),
+        (&prof, "cfs-profile/1"),
+        (&alerts, "cfs-alerts/1"),
+    ] {
+        let out = cfs(&["doc-validate", path.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+        assert!(stdout(&out).contains(schema), "{}", stdout(&out));
+    }
+
+    // An alias refuses a document of another schema.
+    let pinned = cfs(&["trace-validate", &metrics_fixture]);
+    assert_eq!(pinned.status.code(), Some(1));
+    assert!(stderr(&pinned).contains("[schema]"), "{}", stderr(&pinned));
+
+    // An unknown schema is invalid; a missing argument is usage.
+    let unknown = tmp("doc-validate.unknown.json");
+    std::fs::write(&unknown, "{\"schema\":\"cfs-nope/1\"}").expect("fixture written");
+    let out = cfs(&["doc-validate", unknown.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(stderr(&out).contains("cfs-nope/1"), "{}", stderr(&out));
+    assert_eq!(cfs(&["doc-validate"]).status.code(), Some(2));
+}
