@@ -5,6 +5,8 @@
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
+use cfs_types::par::map_chunks;
+
 use crate::prober::IpIdProber;
 
 /// Tuning knobs of the resolution pipeline.
@@ -22,10 +24,6 @@ pub struct MidarConfig {
     pub velocity_tolerance: f64,
     /// Width of the counter-offset window for candidate pairing.
     pub offset_window: u32,
-    /// Worker threads for the estimation fan-out (`0` = serial). Probe
-    /// outcomes are pure functions of `(ip, time)`, so the result is
-    /// identical at any thread count.
-    pub threads: usize,
 }
 
 impl Default for MidarConfig {
@@ -37,7 +35,6 @@ impl Default for MidarConfig {
             corroboration_spacing_ms: 2,
             velocity_tolerance: 0.5,
             offset_window: 4096,
-            threads: 0,
         }
     }
 }
@@ -81,11 +78,15 @@ struct Estimate {
     base: u32,
 }
 
-/// Resolves aliases among `candidates` using IP-ID probing.
+/// Resolves aliases among `candidates` using IP-ID probing, with the
+/// estimation stage spread over `workers` threads (`1` = serial). Probe
+/// outcomes are pure functions of `(ip, time)`, so the result is
+/// identical at any worker count.
 pub fn resolve_aliases(
     prober: &IpIdProber<'_>,
     candidates: &[Ipv4Addr],
     cfg: &MidarConfig,
+    workers: usize,
 ) -> AliasResolution {
     // ---- Stage 1: estimation ----
     // Pure per candidate, so it fans out over worker threads; estimates
@@ -106,40 +107,13 @@ pub fn resolve_aliases(
         }
         estimate(ip, &samples)
     };
-    let workers = match cfg.threads {
-        0 => 1,
-        n => n.min(16),
-    };
-    let estimates: Vec<Estimate> = if workers > 1 && candidates.len() >= 64 {
-        let chunk_size = candidates.len().div_ceil(workers);
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = candidates
-                .chunks(chunk_size)
-                .enumerate()
-                .map(|(c, chunk)| {
-                    let estimate_one = &estimate_one;
-                    scope.spawn(move |_| {
-                        chunk
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(i, ip)| estimate_one(c * chunk_size + i, *ip))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("estimation worker"))
-                .collect()
-        })
-        .expect("estimation thread scope")
-    } else {
-        candidates
+    let estimates: Vec<Estimate> = map_chunks(candidates, workers, 64, |offset, chunk| {
+        chunk
             .iter()
             .enumerate()
-            .filter_map(|(idx, ip)| estimate_one(idx, *ip))
+            .filter_map(|(i, ip)| estimate_one(offset + i, *ip))
             .collect()
-    };
+    });
 
     // ---- Stage 2: candidate pairing (velocity + offset windows) ----
     // Bucket by rounded velocity and by base >> window bits; only pairs in
@@ -333,7 +307,7 @@ mod tests {
     fn resolution_has_high_precision() {
         let t = topo();
         let prober = IpIdProber::new(&t);
-        let res = resolve_aliases(&prober, &all_iface_ips(&t), &MidarConfig::default());
+        let res = resolve_aliases(&prober, &all_iface_ips(&t), &MidarConfig::default(), 1);
         assert!(!res.sets.is_empty(), "no alias sets found");
         let mut wrong_pairs = 0usize;
         let mut pairs = 0usize;
@@ -360,7 +334,7 @@ mod tests {
     fn counter_routers_are_mostly_recovered() {
         let t = topo();
         let prober = IpIdProber::new(&t);
-        let res = resolve_aliases(&prober, &all_iface_ips(&t), &MidarConfig::default());
+        let res = resolve_aliases(&prober, &all_iface_ips(&t), &MidarConfig::default(), 1);
         let mut recovered = 0usize;
         let mut eligible = 0usize;
         for router in t.routers.values() {
@@ -385,7 +359,7 @@ mod tests {
     fn unresponsive_routers_stay_unresolved() {
         let t = topo();
         let prober = IpIdProber::new(&t);
-        let res = resolve_aliases(&prober, &all_iface_ips(&t), &MidarConfig::default());
+        let res = resolve_aliases(&prober, &all_iface_ips(&t), &MidarConfig::default(), 1);
         for router in t.routers.values() {
             if router.ipid == IpIdBehavior::Unresponsive {
                 for ifid in &router.ifaces {
@@ -399,7 +373,7 @@ mod tests {
     fn same_router_is_reflexive_on_sets_only() {
         let t = topo();
         let prober = IpIdProber::new(&t);
-        let res = resolve_aliases(&prober, &all_iface_ips(&t), &MidarConfig::default());
+        let res = resolve_aliases(&prober, &all_iface_ips(&t), &MidarConfig::default(), 1);
         let in_set = res.sets.first().and_then(|s| s.first()).copied();
         if let Some(ip) = in_set {
             assert!(res.same_router(ip, ip));
@@ -437,8 +411,8 @@ mod tests {
         let t = topo();
         let prober = IpIdProber::new(&t);
         let ips = all_iface_ips(&t);
-        let a = resolve_aliases(&prober, &ips, &MidarConfig::default());
-        let b = resolve_aliases(&prober, &ips, &MidarConfig::default());
+        let a = resolve_aliases(&prober, &ips, &MidarConfig::default(), 1);
+        let b = resolve_aliases(&prober, &ips, &MidarConfig::default(), 1);
         assert_eq!(a.sets, b.sets);
     }
 }

@@ -5,9 +5,10 @@
 //! facility sets are immutable [`FacilitySet`] values behind shared
 //! allocations, and the three measurement-heavy stages (observation
 //! extraction, remote-peering verdicts, follow-up traceroutes) fan out
-//! over scoped worker threads. Every parallel stage merges its results in
-//! a deterministic order, so a run produces a byte-identical
-//! [`CfsReport`] at any worker count.
+//! through [`cfs_types::par::map_chunks`] with
+//! [`cfs_types::par::worker_count`]`(CfsConfig::threads)` workers. The
+//! helper concatenates chunk results in submission order, so a run
+//! produces a byte-identical [`CfsReport`] at any worker count.
 //!
 //! The search itself is one loop, [`Cfs::converge_from`]: constrain,
 //! combine aliases, follow up, until nothing changes. Each pass applies
@@ -32,6 +33,7 @@ use cfs_kb::KnowledgeBase;
 use cfs_net::IpAsnDb;
 use cfs_obs::{NoopRecorder, Recorder};
 use cfs_traceroute::{Engine, Platform, ProbeService, Trace, VpSet};
+use cfs_types::par::{map_chunks, worker_count};
 use cfs_types::{
     Asn, Error, FacilityId, FacilitySet, FacilitySetInterner, IxpId, LinkClass, MetroId,
     PeeringKind, Result, UnresolvedReason, VantagePointId,
@@ -71,8 +73,10 @@ pub struct CfsConfig {
     /// Apply Step 3 (alias sets share a facility). Disabled only by the
     /// ablation experiment.
     pub alias_constraints: bool,
-    /// Worker threads for the parallel stages; `0` uses the machine's
-    /// available parallelism. The report is byte-identical at any value.
+    /// Worker threads for the parallel stages, MIDAR estimation
+    /// included, resolved by [`cfs_types::par::worker_count`]: `0` uses
+    /// the machine's available parallelism, capped at 16. The report is
+    /// byte-identical at any value.
     pub threads: usize,
     /// Backoff schedule for re-issuing failed follow-up traceroutes
     /// (DESIGN.md §9). Jitter derives from the run seed, never ambient
@@ -432,17 +436,6 @@ impl<'a> Cfs<'a> {
         }
     }
 
-    /// Effective worker count for the parallel stages.
-    pub(crate) fn workers(&self) -> usize {
-        let n = match self.cfg.threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        };
-        n.clamp(1, 16)
-    }
-
     /// Feeds bootstrap traces (targeted campaigns and archived sweeps).
     pub fn ingest(&mut self, traces: Vec<Trace>) {
         for t in &traces {
@@ -688,11 +681,12 @@ impl<'a> Cfs<'a> {
         cfs_obs::span!(self.recorder, "stage.alias_resolution");
         let prober = IpIdProber::new(self.engine.topology());
         let ips: Vec<Ipv4Addr> = self.hop_ips.iter().copied().collect();
-        let mut alias_cfg = self.cfg.alias.clone();
-        if alias_cfg.threads == 0 {
-            alias_cfg.threads = self.workers();
-        }
-        self.aliases = resolve_aliases(&prober, &ips, &alias_cfg);
+        self.aliases = resolve_aliases(
+            &prober,
+            &ips,
+            &self.cfg.alias,
+            worker_count(self.cfg.threads),
+        );
         let (corrected, _stats) = correct_ip_to_asn(self.ipasn, &self.aliases, &ips);
         self.corrected = corrected;
         self.new_ips_since_alias = 0;
@@ -709,7 +703,7 @@ impl<'a> Cfs<'a> {
     /// worker count.
     pub(crate) fn process_new_traces(&mut self) {
         cfs_obs::span!(self.recorder, "stage.extract");
-        let workers = self.workers();
+        let workers = worker_count(self.cfg.threads);
         let Self {
             ref traces,
             processed,
@@ -728,33 +722,13 @@ impl<'a> Cfs<'a> {
         let rec: &dyn Recorder = &**recorder;
         rec.counter("extract.traces", new.len() as u64);
 
-        let per_trace: Vec<Vec<Observation>> = if workers > 1 && new.len() >= 64 {
-            let chunk_size = new.len().div_ceil(workers);
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = new
-                    .chunks(chunk_size)
-                    .map(|chunk| {
-                        scope.spawn(move |_| {
-                            let resolver = Resolver::new(kb, corrected);
-                            chunk
-                                .iter()
-                                .map(|t| extract_observations_recorded(t, &resolver, rec))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("observation worker"))
-                    .collect()
-            })
-            .expect("observation thread scope")
-        } else {
+        let per_trace: Vec<Vec<Observation>> = map_chunks(new, workers, 64, |_, chunk| {
             let resolver = Resolver::new(kb, corrected);
-            new.iter()
+            chunk
+                .iter()
                 .map(|t| extract_observations_recorded(t, &resolver, rec))
                 .collect()
-        };
+        });
 
         for (t, obs_list) in new.iter().zip(per_trace) {
             for obs in obs_list {
@@ -934,7 +908,7 @@ impl<'a> Cfs<'a> {
             return;
         }
 
-        let workers = self.workers();
+        let workers = worker_count(self.cfg.threads);
         let engine = self.engine;
         let vps = self.vps;
         let retry = self.cfg.retry;
@@ -944,40 +918,16 @@ impl<'a> Cfs<'a> {
         // not depend on the worker count), so the recorder's totals stay
         // chunking-independent.
         let rec: &dyn Recorder = &*self.recorder;
-        let verdicts: Vec<Option<bool>> = if workers > 1 && pending.len() >= 8 {
-            let chunk_size = pending.len().div_ceil(workers);
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = pending
-                    .chunks(chunk_size)
-                    .map(|chunk| {
-                        scope.spawn(move |_| {
-                            let tester = RemoteTester::new(engine, vps)
-                                .recorded(rec)
-                                .retrying(retry, retry_seed)
-                                .excluding(down);
-                            chunk
-                                .iter()
-                                .map(|(ip, ixp)| tester.is_remote(*ixp, *ip))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("remote-test worker"))
-                    .collect()
-            })
-            .expect("remote-test thread scope")
-        } else {
+        let verdicts: Vec<Option<bool>> = map_chunks(&pending, workers, 8, |_, chunk| {
             let tester = RemoteTester::new(engine, vps)
                 .recorded(rec)
                 .retrying(retry, retry_seed)
                 .excluding(down);
-            pending
+            chunk
                 .iter()
                 .map(|(ip, ixp)| tester.is_remote(*ixp, *ip))
                 .collect()
-        };
+        });
         for ((ip, ixp), verdict) in pending.into_iter().zip(verdicts) {
             self.remote_cache.insert(ip, (ixp, verdict));
         }
@@ -1332,34 +1282,14 @@ impl<'a> Cfs<'a> {
     /// One parallel probe round: each entry is traced at its own virtual
     /// time and results merge in submission order.
     fn probe_batch(&self, probes: &[(VantagePointId, Ipv4Addr, u64)]) -> Vec<Trace> {
-        let workers = self.workers();
         let engine = self.engine;
         let vps = self.vps;
-        if workers <= 1 || probes.len() < 32 {
-            return probes
+        map_chunks(probes, worker_count(self.cfg.threads), 32, |_, chunk| {
+            chunk
                 .iter()
                 .map(|(vp_id, target, at)| engine.trace(&vps.vps[*vp_id], *target, *at))
-                .collect();
-        }
-        let chunk_size = probes.len().div_ceil(workers);
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = probes
-                .chunks(chunk_size)
-                .map(|chunk| {
-                    scope.spawn(move |_| {
-                        chunk
-                            .iter()
-                            .map(|(vp_id, target, at)| engine.trace(&vps.vps[*vp_id], *target, *at))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("trace worker"))
                 .collect()
         })
-        .expect("trace thread scope")
     }
 
     /// Plans follow-up traceroutes designed to add constraints for one

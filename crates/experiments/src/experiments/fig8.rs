@@ -12,6 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use cfs_core::CfsConfig;
+use cfs_types::par::{map_chunks, worker_count};
 use cfs_types::{FacilityId, Result};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -71,28 +72,9 @@ pub fn run(lab: &Lab, out: &mut Output) -> Result<serde_json::Value> {
             changed as f64 / baseline_resolved as f64,
         )
     };
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(8);
-    let results: Vec<(usize, f64, f64)> = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for chunk in jobs.chunks(jobs.len().div_ceil(workers)) {
-            let chunk: Vec<(usize, usize)> = chunk.to_vec();
-            let run_one = &run_one;
-            handles.push(scope.spawn(move |_| {
-                chunk
-                    .iter()
-                    .map(|(s, t)| run_one(*s, *t))
-                    .collect::<Vec<_>>()
-            }));
-        }
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("fig8 worker"))
-            .collect()
-    })
-    .expect("fig8 thread scope");
+    let results: Vec<(usize, f64, f64)> = map_chunks(&jobs, worker_count(0), 0, |_, chunk| {
+        chunk.iter().map(|(s, t)| run_one(*s, *t)).collect()
+    });
 
     let mut rows = Vec::new();
     let mut json_points = Vec::new();

@@ -1,12 +1,14 @@
 //! Closure-capture extraction and the `determinism-race` rule.
 //!
-//! The engine's parallel stages (observation extraction, remote-verdict
-//! prefill, probe fan-out) are scoped-thread maps: each worker closure
+//! Every parallel stage (observation extraction, remote-verdict prefill,
+//! probe fan-out, MIDAR estimation, campaigns, the fig8 trials) hands a
+//! chunk closure to `cfs_types::par::map_chunks`: each worker closure
 //! may only *read* captured state and return its chunk's results; the
-//! merge happens on the coordinating thread in submission order. That
-//! discipline is what the threads {1,2,8} byte-identity tests check
-//! dynamically. This module is the static complement: it finds
-//! `.spawn(move |…| { … })` closures, approximates their capture sets
+//! helper concatenates them in submission order. That discipline is what
+//! the threads {1,2,8} byte-identity tests check dynamically. This
+//! module is the static complement: it finds worker closures — the
+//! closure argument of every `map_chunks(…)` call and any
+//! `.spawn(move |…| { … })` closure — approximates their capture sets
 //! (identifiers used minus identifiers bound locally), and flags the
 //! three ways workers leak scheduling order into results:
 //!
@@ -34,11 +36,12 @@ use std::collections::BTreeSet;
 use crate::resolve::{SourceFile, Workspace};
 use crate::rules::{Finding, Target};
 
-/// One `.spawn(move |…| { … })` closure found in a source file.
+/// One worker closure found in a source file: a `.spawn(move |…| { … })`
+/// closure or the closure argument of a `map_chunks(…)` call.
 pub struct SpawnClosure {
     /// Workspace-relative path of the file.
     pub path: String,
-    /// 0-based line of the `.spawn(` token.
+    /// 0-based line of the closure's parameter list.
     pub line: usize,
     /// 0-based first line of the closure body (the line carrying the
     /// opening brace).
@@ -221,8 +224,13 @@ const INTERIOR_MUT_TOKENS: &[&str] = &[
 
 const UNORDERED_TOKENS: &[&str] = &["HashMap", "HashSet"];
 
-/// Finds every `.spawn(move |…|` closure with a braced body in the
-/// workspace's library/binary code (masked view).
+/// The ordered fan-out helper's call token; its closure argument runs
+/// on worker threads.
+const FAN_OUT_CALL: &str = "map_chunks(";
+
+/// Finds every worker closure with a braced body in the workspace's
+/// library/binary code (masked view): `.spawn(move |…|` closures and the
+/// closure argument of each `map_chunks(` call.
 pub fn find_spawn_closures(ws: &Workspace) -> Vec<SpawnClosure> {
     let mut out = Vec::new();
     for file in &ws.files {
@@ -233,25 +241,48 @@ pub fn find_spawn_closures(ws: &Workspace) -> Vec<SpawnClosure> {
             if file.scanned.in_test[lineno] {
                 continue;
             }
-            let mut from = 0usize;
-            while let Some(p) = line[from..].find(".spawn(") {
-                let at = from + p;
-                from = at + ".spawn(".len();
-                if let Some(c) = extract_closure(file, lineno, from) {
-                    out.push(c);
+            for (at, _) in line.match_indices(".spawn(") {
+                out.extend(extract_closure(file, lineno, at + ".spawn(".len()));
+            }
+            for (at, _) in line.match_indices(FAN_OUT_CALL) {
+                if at > 0 && is_ident(line.as_bytes()[at - 1]) {
+                    continue; // a longer name ending in `map_chunks`
                 }
+                let arg = closure_arg(file, lineno, at + FAN_OUT_CALL.len());
+                out.extend(arg.and_then(|(ln, col)| extract_closure(file, ln, col)));
             }
         }
     }
     out
 }
 
-/// Parses one closure starting right after `.spawn(`: optional `move`,
-/// a `|…|` parameter list, then a braced body (single-expression
-/// closures have nothing to race on a following line and are skipped).
-fn extract_closure(file: &SourceFile, lineno: usize, after_paren: usize) -> Option<SpawnClosure> {
+/// Locates the closure argument of the call whose argument list opens at
+/// `(lineno, after_paren)`: the first `|` at the list's own nesting
+/// depth, on that line or a later one. `None` when the list closes first.
+fn closure_arg(file: &SourceFile, lineno: usize, after_paren: usize) -> Option<(usize, usize)> {
+    let mut depth = 0i32;
+    for ln in lineno..file.scanned.code.len() {
+        let from = if ln == lineno { after_paren } else { 0 };
+        for (col, ch) in file.scanned.code[ln][from..].char_indices() {
+            match ch {
+                '(' | '[' | '{' => depth += 1,
+                ')' | ']' | '}' if depth == 0 => return None,
+                ')' | ']' | '}' => depth -= 1,
+                '|' if depth == 0 => return Some((ln, from + col)),
+                _ => {}
+            }
+        }
+    }
+    None
+}
+
+/// Parses one closure starting at `(lineno, at)` — right after `.spawn(`
+/// or at a call argument's `|`: optional `move`, a `|…|` parameter list,
+/// then a braced body (single-expression closures have nothing to race
+/// on a following line and are skipped).
+fn extract_closure(file: &SourceFile, lineno: usize, at: usize) -> Option<SpawnClosure> {
     let line = &file.scanned.code[lineno];
-    let rest = line[after_paren..].trim_start();
+    let rest = line[at..].trim_start();
     let rest = rest.strip_prefix("move").unwrap_or(rest).trim_start();
     let rest = rest.strip_prefix('|')?;
     let params_end = rest.find('|')?;
@@ -351,7 +382,7 @@ fn extract_closure(file: &SourceFile, lineno: usize, after_paren: usize) -> Opti
     Some(closure)
 }
 
-/// Runs the `determinism-race` rule over all spawn closures.
+/// Runs the `determinism-race` rule over all worker closures.
 pub fn determinism_race_findings(ws: &Workspace, closures: &[SpawnClosure]) -> Vec<Finding> {
     let by_path: std::collections::BTreeMap<&str, &SourceFile> =
         ws.files.iter().map(|f| (f.path.as_str(), f)).collect();
@@ -554,6 +585,24 @@ mod tests {
         );
         assert_eq!(findings.len(), 1, "{findings:#?}");
         assert!(findings[0].message.contains("assigns to captured `total`"));
+    }
+
+    #[test]
+    fn fan_out_closure_after_wrapped_arguments_is_a_worker() {
+        let findings = race(
+            "fn stage() {\n\
+             let b = map_chunks(\n\
+             &items[..f(1)],\n\
+             workers,\n\
+             move |_, chunk| {\n\
+             total += chunk.len();\n\
+             Vec::new()\n\
+             },\n\
+             );\n\
+             }\n",
+        );
+        assert_eq!(findings.len(), 1, "{findings:#?}");
+        assert_eq!(findings[0].line, 6);
     }
 
     #[test]

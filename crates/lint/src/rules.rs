@@ -134,7 +134,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "raw-thread-spawn",
-        summary: "use the scoped fan-out (crossbeam scope), not free-running std threads",
+        summary: "fan out through cfs_types::par::map_chunks, not raw thread::spawn/thread::scope",
     },
     RuleInfo {
         name: "rc-in-send-crate",
@@ -411,14 +411,17 @@ fn check_line(
     }
 
     // raw-thread-spawn: free-running threads escape the deterministic
-    // submission-order merge; all fan-out goes through scoped workers.
-    if lib_like && !in_test {
-        for col in find_tokens(line, "thread::spawn", true) {
-            push(
-                col,
-                "raw-thread-spawn",
-                "free-running `thread::spawn` breaks the deterministic fan-out/merge; use `crossbeam::thread::scope` chunked workers".to_owned(),
-            );
+    // submission-order merge, and a hand-rolled scope duplicates it; all
+    // fan-out goes through the one ordered chunk map in `par.rs`.
+    if lib_like && !in_test && path != "crates/types/src/par.rs" {
+        for needle in ["thread::spawn", "thread::scope"] {
+            for col in find_tokens(line, needle, true) {
+                push(
+                    col,
+                    "raw-thread-spawn",
+                    format!("raw `{needle}` bypasses the deterministic fan-out/merge; use `cfs_types::par::map_chunks`, the one ordered chunk map"),
+                );
+            }
         }
     }
 
@@ -625,6 +628,15 @@ mod tests {
         let f = check_source("vendor/rand/src/lib.rs", src);
         assert_eq!(f.len(), 2, "{f:?}");
         assert!(f.iter().all(|x| x.rule == "vendor-surface"));
+    }
+
+    #[test]
+    fn thread_scope_is_single_homed_in_the_par_module() {
+        let src = "fn fan() { std::thread::scope(|s| { s.spawn(|| 1); }); }\n";
+        assert!(check_source("crates/types/src/par.rs", src).is_empty());
+        let f = check_source("crates/types/src/facset.rs", src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].rule == "raw-thread-spawn" && f[0].message.contains("map_chunks"));
     }
 
     #[test]

@@ -5,3 +5,8 @@ pub fn fan_out(xs: Vec<u32>) -> Vec<std::thread::JoinHandle<u32>> {
         .map(|x| std::thread::spawn(move || x * 2))
         .collect()
 }
+
+// A hand-rolled scope fires too: `thread::scope` lives in par.rs only.
+pub fn scoped(xs: &[u32]) {
+    std::thread::scope(|s| drop(s.spawn(|| xs.len())));
+}

@@ -1,6 +1,7 @@
 // Fixture: justified suppressions silence `determinism-race` (and the
 // lexical `unordered-iteration` hit on the same HashSet token).
 pub fn stage(chunks: &[&[u32]], shared: &Mutex<Vec<u32>>) {
+    // cfs-lint: allow(raw-thread-spawn) — fixture: the spawn-closure shape under test needs a scope
     crossbeam::thread::scope(|scope| {
         for chunk in chunks {
             scope.spawn(move |_| {

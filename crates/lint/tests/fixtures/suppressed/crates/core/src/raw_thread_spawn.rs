@@ -5,3 +5,8 @@ pub fn fan_out(xs: Vec<u32>) -> Vec<std::thread::JoinHandle<u32>> {
         .map(|x| std::thread::spawn(move || x * 2))
         .collect()
 }
+
+pub fn scoped(xs: &[u32]) {
+    // cfs-lint: allow(raw-thread-spawn) — fixture: one helper thread, joined before return
+    std::thread::scope(|s| drop(s.spawn(|| xs.len())));
+}

@@ -41,11 +41,11 @@ fn dirty_tree_finding_inventory_is_exact() {
     let expected: &[(&str, usize)] = &[
         ("ambient-rng", 3),
         ("api-drift", 9),
-        ("determinism-race", 5),
+        ("determinism-race", 6),
         ("panic-reachability", 2),
         ("raw-sleep", 2),
         ("raw-socket", 2),
-        ("raw-thread-spawn", 1),
+        ("raw-thread-spawn", 3),
         ("rc-in-send-crate", 2),
         ("unjustified-allow", 2),
         ("unordered-iteration", 4),

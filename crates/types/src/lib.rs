@@ -12,7 +12,8 @@
 //!
 //! Everything here is deliberately small and dependency-free: plain-old-data
 //! newtypes over integers, a typed [`arena`] for storing
-//! entities, and the shared [`Error`] type.
+//! entities, the shared [`Error`] type, and [`par`], the one ordered
+//! fan-out every parallel stage runs through.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -22,6 +23,7 @@ mod asclass;
 mod error;
 mod facset;
 mod ids;
+pub mod par;
 mod peering;
 mod reason;
 mod region;
